@@ -94,7 +94,7 @@ func benchSweepCell(b *testing.B, measure, model string, rate float64) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum, err := sweep.Run(spec, discardWriter{}, sweep.Options{Workers: 1})
+		sum, err := runSweep(spec, discardWriter{}, sweep.WithWorkers(1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func BenchmarkSweepTrialDiameterSampled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum, err := sweep.Run(spec, discardWriter{}, sweep.Options{Workers: 1})
+		sum, err := runSweep(spec, discardWriter{}, sweep.WithWorkers(1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -270,7 +270,7 @@ func BenchmarkJobWideCellParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum, err := sweep.Run(spec, discardWriter{}, sweep.Options{})
+		sum, err := runSweep(spec, discardWriter{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,21 +1,20 @@
 package main
 
-// The coordinator subcommand: the fleet-facing daemon. It exposes the
-// same /v1 job surface as serve, but executes each job by splitting
-// the grid into -shard i/m slices and dispatching them to worker
-// daemons (-workers), streaming back the merged interleave —
-// byte-identical to a single-node run. Every job is durable: its spec
-// and per-shard outputs live under -store, so a SIGKILLed coordinator
-// restarts with nothing lost and every unfinished job resuming from
-// its exact output prefix.
+// The coordinator subcommand: the fleet-facing daemon. It is the same
+// job manager as serve (internal/fabric), answering the same /v1 job
+// routes and /healthz, with the other way to run a job: the grid is
+// split into -shard i/m slices, dispatched to worker daemons
+// (-workers), and streamed back as the merged interleave —
+// byte-identical to a single-node run. It adds GET /v1/workers. Every
+// job is durable: its spec and per-shard outputs live under -store, so
+// a SIGKILLed coordinator restarts with nothing lost and every
+// unfinished job resuming from its exact output prefix.
 
 import (
 	"context"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
-	"os"
 	"strings"
 	"time"
 
@@ -69,26 +68,11 @@ func cmdCoordinator(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: co.Handler()}
-	if !*quiet {
-		fmt.Fprintf(os.Stderr, "coordinator: listening on http://%s (%d workers, store %s, kernels %s)\n",
-			ln.Addr(), len(fleet), *storeDir, sweep.KernelVersion)
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		// Graceful shutdown stops dispatching but does NOT cancel jobs:
-		// they are durable, and the next start resumes each one from its
-		// exact output prefix. Only DELETE cancels durably.
-		shCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		return srv.Shutdown(shCtx)
-	}
+	// Shutdown stops dispatching but does NOT cancel jobs: they are
+	// durable, and the next start resumes each one from its exact output
+	// prefix. Only DELETE cancels durably.
+	return serveUntilDone(ctx, *addr, co.Handler(), nil, *quiet, func(addr net.Addr) string {
+		return fmt.Sprintf("coordinator: listening on http://%s (%d workers, store %s, kernels %s)",
+			addr, len(fleet), *storeDir, sweep.KernelVersion)
+	})
 }

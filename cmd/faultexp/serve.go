@@ -1,11 +1,13 @@
 package main
 
-// The serve and worker subcommands: one HTTP daemon (internal/fabric's
-// Server) over the context-aware Job API, two roles. `serve` is the
-// standalone service clients talk to directly; `worker` is the same
-// surface enrolled in a fleet, driven by `faultexp coordinator`
-// through the ?shard=i/m&skip=K query parameters on POST /v1/jobs.
-// Either way the endpoints are:
+// The serve and worker subcommands, plus the listen/serve/shutdown
+// loop every daemon shares. internal/fabric has one job manager and two
+// ways to run a job: serve and worker run each job as one local sweep
+// (fabric.Server), the coordinator (coordinator.go) as shards on a
+// worker fleet. `serve` is the standalone service clients talk to
+// directly; `worker` is the same surface enrolled in a fleet, driven by
+// `faultexp coordinator` through the ?shard=i/m&skip=K query parameters
+// on POST /v1/jobs. All three daemons answer the same endpoints:
 //
 //	POST   /v1/jobs               spec JSON → job id (queued into a bounded pool)
 //	GET    /v1/jobs               all jobs with snapshots
@@ -73,25 +75,36 @@ func runJobDaemon(ctx context.Context, name, defaultAddr string, args []string) 
 		cfg.Cache, cfg.Flight = rc, cache.NewFlight()
 	}
 	mgr := fabric.NewServer(ctx, cfg)
-	ln, err := net.Listen("tcp", *addr)
+	// Shutdown cancels every job; each drains at a cell boundary.
+	return serveUntilDone(ctx, *addr, mgr.Handler(), mgr.CancelAll, *quiet, func(addr net.Addr) string {
+		return fmt.Sprintf("%s: listening on http://%s (POST /v1/jobs, %d concurrent jobs, kernels %s)",
+			name, addr, *maxActive, sweep.KernelVersion)
+	})
+}
+
+// serveUntilDone listens on addr, prints the startup banner for the
+// bound address to stderr unless quiet, and serves h until ctx ends.
+// Then it runs onStop (when non-nil) and gives in-flight responses up
+// to 15s to finish streaming their final records before the listener
+// closes for good.
+func serveUntilDone(ctx context.Context, addr string, h http.Handler, onStop func(), quiet bool, banner func(net.Addr) string) error {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: mgr.Handler()}
-	if !*quiet {
-		fmt.Fprintf(os.Stderr, "%s: listening on http://%s (POST /v1/jobs, %d concurrent jobs, kernels %s)\n",
-			name, ln.Addr(), *maxActive, sweep.KernelVersion)
+	if !quiet {
+		fmt.Fprintln(os.Stderr, banner(ln.Addr()))
 	}
+	srv := &http.Server{Handler: h}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
 	case err := <-errc:
 		return err
 	case <-ctx.Done():
-		// Graceful shutdown: cancel every job (each drains at a cell
-		// boundary), then let in-flight responses finish streaming their
-		// final records before the listener closes for good.
-		mgr.CancelAll()
+		if onStop != nil {
+			onStop()
+		}
 		shCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		defer cancel()
 		return srv.Shutdown(shCtx)

@@ -368,10 +368,6 @@ func NewSweepJSONL(w io.Writer) SweepWriter { return sweep.NewJSONL(w) }
 // NewSweepCSV returns a streaming long-format CSV result writer.
 func NewSweepCSV(w io.Writer) SweepWriter { return sweep.NewCSV(w) }
 
-// SweepOptions tunes one sweep run: worker count, progress callback,
-// and the round-robin shard this process executes.
-type SweepOptions = sweep.Options
-
 // SweepShard selects the round-robin slice of a grid one process runs
 // (cell i runs on shard i mod Count); per-shard outputs merge back to
 // the unsharded bytes with MergeSweepShards.
@@ -379,25 +375,6 @@ type SweepShard = sweep.Shard
 
 // ParseSweepShard parses the CLI shard token "i/m" (0-based).
 func ParseSweepShard(tok string) (SweepShard, error) { return sweep.ParseShard(tok) }
-
-// RunSweep executes a grid on up to workers goroutines (0 = GOMAXPROCS),
-// streaming results to w in deterministic cell order.
-//
-// Deprecated: use NewSweepJob, which adds context cancellation,
-// mid-flight snapshots, and resumable interruption; RunSweep is a thin
-// synchronous wrapper kept for compatibility.
-func RunSweep(spec *SweepSpec, w SweepWriter, workers int) (SweepSummary, error) {
-	return sweep.Run(spec, w, sweep.Options{Workers: workers})
-}
-
-// RunSweepOpt is RunSweep with full options (shard, progress).
-//
-// Deprecated: use NewSweepJob with SweepJobShard/SweepJobSkipCells/
-// SweepJobProgress options; RunSweepOpt is a thin synchronous wrapper
-// kept for compatibility.
-func RunSweepOpt(spec *SweepSpec, w SweepWriter, opt SweepOptions) (SweepSummary, error) {
-	return sweep.Run(spec, w, opt)
-}
 
 // --- The context-aware Job API ---
 
@@ -540,8 +517,8 @@ type SweepResumeState = sweep.ResumeState
 // (sharded) cell sequence so the run can be resumed: records are pinned
 // to their exact cell position by seed and trial budget, mismatched
 // specs are refused, and a trailing mid-write partial record is marked
-// for truncation. Execute the remainder with SweepOptions.SkipCells =
-// state.Done; the resumed file is byte-identical to an uninterrupted
+// for truncation. Execute the remainder with SweepJobSkipCells(
+// state.Done); the resumed file is byte-identical to an uninterrupted
 // run.
 func ScanSweepResume(r io.Reader, spec *SweepSpec, shard SweepShard) (SweepResumeState, error) {
 	if err := spec.Validate(); err != nil {
@@ -698,12 +675,12 @@ func NewFabricCoordinator(ctx context.Context, cfg FabricCoordinatorConfig) (*Fa
 	return fabric.NewCoordinator(ctx, cfg)
 }
 
-// FabricJobView / FabricCoordJobView / FabricWorkerView are the JSON
-// shapes of jobs and workers in fabric HTTP responses.
+// FabricJobView / FabricWorkerView are the JSON shapes of jobs (on
+// every daemon; coordinator jobs add per-shard progress) and workers in
+// fabric HTTP responses.
 type (
-	FabricJobView      = fabric.JobView
-	FabricCoordJobView = fabric.CoordJobView
-	FabricWorkerView   = fabric.WorkerView
+	FabricJobView    = fabric.JobView
+	FabricWorkerView = fabric.WorkerView
 )
 
 // SweepShardFileName is the canonical on-disk name of one shard's JSONL

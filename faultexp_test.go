@@ -186,6 +186,18 @@ func TestPublicBuilders(t *testing.T) {
 	}
 }
 
+// runSweep runs spec to completion on a fresh SweepJob streaming into w.
+func runSweep(spec *faultexp.SweepSpec, w faultexp.SweepWriter, opts ...faultexp.SweepJobOption) (faultexp.SweepSummary, error) {
+	job, err := faultexp.NewSweepJob(spec, append([]faultexp.SweepJobOption{faultexp.SweepJobWriter(w)}, opts...)...)
+	if err != nil {
+		return faultexp.SweepSummary{}, err
+	}
+	if err := job.Start(context.Background()); err != nil {
+		return faultexp.SweepSummary{}, err
+	}
+	return job.Wait()
+}
+
 // TestPublicFamilyRegistryAndShardedSweep walks the new public surface
 // end to end: registry lookup, building a randomized family, and a
 // multi-model sharded sweep whose merged output is byte-identical to
@@ -221,8 +233,8 @@ func TestPublicFamilyRegistryAndShardedSweep(t *testing.T) {
 		Seed:     11,
 	}
 	var want bytes.Buffer
-	if _, err := faultexp.RunSweep(spec, faultexp.NewSweepJSONL(&want), 2); err != nil {
-		t.Fatalf("RunSweep: %v", err)
+	if _, err := runSweep(spec, faultexp.NewSweepJSONL(&want), faultexp.SweepJobWorkers(2)); err != nil {
+		t.Fatalf("runSweep: %v", err)
 	}
 	const m = 2
 	shards := make([]bytes.Buffer, m)
@@ -231,9 +243,8 @@ func TestPublicFamilyRegistryAndShardedSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := faultexp.RunSweepOpt(spec, faultexp.NewSweepJSONL(&shards[i]),
-			faultexp.SweepOptions{Workers: 2, Shard: sh}); err != nil {
-			t.Fatalf("RunSweepOpt(shard %d): %v", i, err)
+		if _, err := runSweep(spec, faultexp.NewSweepJSONL(&shards[i]), faultexp.SweepJobWorkers(2), faultexp.SweepJobShard(sh)); err != nil {
+			t.Fatalf("runSweep(shard %d): %v", i, err)
 		}
 	}
 	var got bytes.Buffer

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"runtime"
 	"testing"
@@ -30,9 +31,16 @@ func runJSONL(t *testing.T, spec *sweep.Spec, workers int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := sweep.NewJSONL(&buf)
-	sum, err := sweep.Run(spec, w, sweep.Options{Workers: workers})
+	job, err := sweep.NewJob(spec, sweep.WithWriter(w), sweep.WithWorkers(workers))
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("NewJob: %v", err)
+	}
+	if err := job.Start(context.Background()); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	sum, err := job.Wait()
+	if err != nil {
+		t.Fatalf("Wait: %v", err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)

@@ -1,12 +1,14 @@
 package fabric
 
-// The coordinator: accepts grid specs on the same /v1 job surface as
-// serve, splits each into round-robin `-shard i/m` slices, dispatches
-// the slices to a fleet of worker daemons, and streams a merged
-// interleave back to the client — byte-identical to a single-node run,
-// because a cell's bytes depend only on (grid seed, cell key) and the
-// round-robin interleave of complete shard streams IS the unsharded
-// cell order (the MergeShards discipline).
+// The coordinator: the shared job manager (jobs.go) with a second way
+// to run a job. Each job is split into round-robin `-shard i/m` slices,
+// the slices are dispatched to a fleet of worker daemons, and the
+// results stream is their merged interleave — byte-identical to a
+// single-node run, because a cell's bytes depend only on (grid seed,
+// cell key) and the round-robin interleave of complete shard streams IS
+// the unsharded cell order (the MergeShards discipline). On top of the
+// job manager the coordinator adds only the fleet registry (GET
+// /v1/workers), shard dispatch and retry, and the durable store.
 //
 // Failure handling is resume, not redo: every line a worker streams is
 // appended (verbatim, verified) to the job's durable shard file, so
@@ -29,6 +31,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sync"
@@ -133,37 +136,19 @@ type ShardView struct {
 	Worker   string `json:"worker,omitempty"`
 }
 
-// CoordJobView is the JSON shape of one coordinator job: the familiar
-// id/created/snapshot triple (snapshot.cells_done is the contiguous
-// merged prefix a results stream could deliver right now) plus
-// per-shard progress.
-type CoordJobView struct {
-	ID       string         `json:"id"`
-	Created  time.Time      `json:"created"`
-	Snapshot sweep.Snapshot `json:"snapshot"`
-	Shards   []ShardView    `json:"shards"`
-	Removed  bool           `json:"removed,omitempty"`
-}
-
-// CoordHealth is the coordinator's GET /healthz body.
+// CoordHealth is the coordinator's GET /healthz body: the Health every
+// daemon reports plus the fleet registry, whose "workers" key is present
+// even for an empty fleet.
 type CoordHealth struct {
-	Service       string       `json:"service"`
-	Version       string       `json:"version"`
-	KernelVersion string       `json:"kernel_version"`
-	MaxActive     int          `json:"max_active"`
-	ActiveJobs    int          `json:"active_jobs"`
-	HeldJobs      int          `json:"held_jobs"`
-	Workers       []WorkerView `json:"workers"`
+	Health
+	Workers []WorkerView `json:"workers"`
 }
 
-// coordJob is one job's in-memory state: per-shard line logs mirroring
-// the durable shard files, plus dispatch bookkeeping.
+// coordJob is how the coordinator executes one job: per-shard line logs
+// mirroring the durable shard files, plus dispatch bookkeeping.
 type coordJob struct {
-	id       string
-	stored   *StoredJob
-	spec     *sweep.Spec
-	specJSON []byte
-	created  time.Time
+	co     *Coordinator
+	stored *StoredJob
 
 	m        int            // shard count
 	cells    int            // total grid cells
@@ -172,37 +157,40 @@ type coordJob struct {
 	logs     []*resultLog   // per-shard line logs (merged stream reads these)
 	files    []*os.File     // per-shard durable append handles (while running)
 
-	cancelOnce sync.Once
-	cancelCh   chan struct{}
-	done       chan struct{}
+	// cancelled is the job table's cancel signal (heldJob.cancelled),
+	// closed only after stop has written the durable marker.
+	cancelled <-chan struct{}
+	doneCh    chan struct{}
 
 	mu          sync.Mutex
 	state       sweep.JobState
 	errMsg      string
 	shardWorker []string
 	bytes       int64
-	maxBytes    int64
 }
 
 func (cj *coordJob) cancelRequested() bool {
 	select {
-	case <-cj.cancelCh:
+	case <-cj.cancelled:
 		return true
 	default:
 		return false
 	}
 }
 
-// cancel requests the job stop draining at line boundaries. durable=
-// true also writes the store's cancelled marker so a restart doesn't
-// resurrect the job.
-func (cj *coordJob) cancel(durable bool) {
-	cj.cancelOnce.Do(func() {
-		if durable {
-			cj.stored.MarkCancelled()
-		}
-		close(cj.cancelCh)
-	})
+// stop writes the store's cancelled marker, so a restart doesn't
+// resurrect the job; the table then closes cj.cancelled and the job
+// drains at line boundaries. A marker that fails to write costs only
+// durability — a restart resumes the job — so the cancel goes ahead.
+func (cj *coordJob) stop() { _ = cj.stored.MarkCancelled() }
+
+func (cj *coordJob) done() <-chan struct{} { return cj.doneCh }
+
+// line serves the merged interleave: cell i comes from shard i mod m at
+// intra-shard index i div m, each line exactly as the worker produced
+// (and the durable file holds) it.
+func (cj *coordJob) line(ctx context.Context, i int) ([]byte, bool) {
+	return cj.logs[i%cj.m].next(ctx, i/cj.m)
 }
 
 func (cj *coordJob) setState(s sweep.JobState) {
@@ -226,10 +214,8 @@ func (cj *coordJob) finish(s sweep.JobState, err error) {
 		cj.errMsg = err.Error()
 	}
 	cj.mu.Unlock()
-	for _, l := range cj.logs {
-		l.finish()
-	}
-	close(cj.done)
+	cj.finishLogs()
+	close(cj.doneCh)
 }
 
 func (cj *coordJob) setShardWorker(i int, base string) {
@@ -249,9 +235,9 @@ func (cj *coordJob) appendShard(i int, line []byte) error {
 	b = append(b, line...)
 	b = append(b, '\n')
 	cj.mu.Lock()
-	if cj.maxBytes > 0 && cj.bytes+int64(len(b)) > cj.maxBytes {
+	if limit := cj.co.cfg.MaxResultBytes; limit > 0 && cj.bytes+int64(len(b)) > limit {
 		cj.mu.Unlock()
-		return fmt.Errorf("job %s exceeds the result retention cap (-max-result-bytes=%d)", cj.id, cj.maxBytes)
+		return fmt.Errorf("job %s exceeds the result retention cap (-max-result-bytes=%d)", cj.stored.ID, limit)
 	}
 	cj.bytes += int64(len(b))
 	cj.mu.Unlock()
@@ -286,44 +272,41 @@ func (cj *coordJob) complete() bool {
 	return true
 }
 
-func (cj *coordJob) view() CoordJobView {
+func (cj *coordJob) snapshot() sweep.Snapshot {
 	cj.mu.Lock()
 	state, errMsg := cj.state, cj.errMsg
+	cj.mu.Unlock()
+	return sweep.Snapshot{State: state, CellsDone: cj.mergedDone(), CellsTotal: cj.cells, Err: errMsg}
+}
+
+func (cj *coordJob) shards() []ShardView {
+	cj.mu.Lock()
 	workers := append([]string(nil), cj.shardWorker...)
 	cj.mu.Unlock()
-	v := CoordJobView{
-		ID:      cj.id,
-		Created: cj.created,
-		Snapshot: sweep.Snapshot{
-			State:      state,
-			CellsDone:  cj.mergedDone(),
-			CellsTotal: cj.cells,
-			Err:        errMsg,
-		},
-	}
-	for i := 0; i < cj.m; i++ {
-		v.Shards = append(v.Shards, ShardView{
+	views := make([]ShardView, cj.m)
+	for i := range views {
+		views[i] = ShardView{
 			Shard:    fmt.Sprintf("%d/%d", i, cj.m),
 			Lines:    cj.logs[i].count(),
 			Expected: cj.expected[i],
 			Worker:   workers[i],
-		})
+		}
 	}
-	return v
+	return views
 }
 
-// Coordinator owns the worker registry and every durable job.
+// Coordinator is the job manager run as `faultexp coordinator`: each
+// job executes as shards streamed to a worker fleet, and every job is
+// kept in the durable store until DELETE removes it.
 type Coordinator struct {
 	ctx   context.Context
 	cfg   CoordinatorConfig
 	store *Store
-	sem   chan struct{}
+	jobs  *jobTable
 
 	mu      sync.Mutex
 	workers []*workerRef
 	notify  chan struct{} // closed+replaced when dispatch capacity may have appeared
-	jobs    map[string]*coordJob
-	order   []string
 }
 
 // NewCoordinator opens the fleet registry and rebuilds every job from
@@ -339,10 +322,9 @@ func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, e
 		ctx:    ctx,
 		cfg:    cfg,
 		store:  cfg.Store,
-		sem:    make(chan struct{}, cfg.MaxActive),
 		notify: make(chan struct{}),
-		jobs:   map[string]*coordJob{},
 	}
+	c.jobs = newJobTable(ctx, "faultexp-coordinator", cfg.MaxActive, 0, c)
 	for _, addr := range cfg.Workers {
 		cl := NewClient(addr)
 		cl.HTTP = cfg.HTTP
@@ -363,70 +345,64 @@ func (c *Coordinator) rebuild() error {
 		return err
 	}
 	for _, sj := range stored {
-		cj, loadErr := c.buildJob(sj, false)
-		c.mu.Lock()
-		c.jobs[cj.id] = cj
-		c.order = append(c.order, cj.id)
-		c.mu.Unlock()
+		held, cj, loadErr := c.buildJob(sj, false)
+		resume := false
 		switch {
 		case loadErr != nil:
 			cj.finish(sweep.JobFailed, loadErr)
 		case cj.complete():
 			cj.finish(sweep.JobDone, nil)
 		case sj.Cancelled():
-			cj.cancel(false)
 			cj.finish(sweep.JobCancelled, nil)
 		case sj.Kernel != sweep.KernelVersion:
 			cj.finish(sweep.JobFailed, fmt.Errorf(
 				"job was computed under kernel stamp %q but this coordinator runs %q — splicing could mix bytes; re-submit the spec",
 				sj.Kernel, sweep.KernelVersion))
 		default:
-			go c.runJob(cj)
+			resume = true
 		}
+		c.jobs.add(held, resume)
 	}
 	return nil
 }
 
-// buildJob materializes a coordJob from its stored state. When resume
-// is wanted (existing jobs), each shard file is verified against its
-// cell sequence with sweep.ScanResume — a torn trailing line (the
-// mid-write kill signature) is truncated away — and the verified
-// prefix loaded into the shard log. The returned error marks the job
-// failed; the job object itself is always usable for views.
-func (c *Coordinator) buildJob(sj *StoredJob, fresh bool) (*coordJob, error) {
+// buildJob materializes a job from its stored state: the table entry
+// and its execution. When resume is wanted (existing jobs), each shard
+// file is verified against its cell sequence with sweep.ScanResume — a
+// torn trailing line (the mid-write kill signature) is truncated away —
+// and the verified prefix loaded into the shard log. The returned error
+// marks the job failed; the job itself is always usable for views.
+func (c *Coordinator) buildJob(sj *StoredJob, fresh bool) (*heldJob, *coordJob, error) {
 	m := sj.Shards
 	cj := &coordJob{
-		id:          sj.ID,
+		co:          c,
 		stored:      sj,
-		spec:        sj.Spec,
-		specJSON:    sj.SpecJSON,
-		created:     sj.Created,
 		m:           m,
 		cells:       len(sj.Spec.Cells()),
 		cellsBy:     make([][]sweep.Cell, m),
 		expected:    make([]int, m),
 		logs:        make([]*resultLog, m),
 		files:       make([]*os.File, m),
-		cancelCh:    make(chan struct{}),
-		done:        make(chan struct{}),
+		doneCh:      make(chan struct{}),
 		state:       sweep.JobPending,
 		shardWorker: make([]string, m),
-		maxBytes:    c.cfg.MaxResultBytes,
 	}
 	for i := 0; i < m; i++ {
 		cj.cellsBy[i] = sj.Spec.ShardCells(sweep.Shard{Index: i, Count: m})
 		cj.expected[i] = len(cj.cellsBy[i])
 		cj.logs[i] = newResultLog(0)
 	}
+	held := newHeldJob(sj.ID, sj.Created, cj)
+	cj.cancelled = held.cancelled
 	if fresh {
-		return cj, nil
+		return held, cj, nil
 	}
 	for i := 0; i < m; i++ {
 		if err := cj.loadShardPrefix(i); err != nil {
-			return cj, err
+			return held, cj, err
 		}
 	}
-	return cj, nil
+	return held, cj, nil
 }
 
 // loadShardPrefix restores one shard's verified durable prefix into
@@ -479,50 +455,52 @@ func (c *Coordinator) shardCountFor(spec *sweep.Spec) int {
 	return m
 }
 
-// submit durably registers a new job (spec on disk before the response
-// commits to an id) and queues it.
-func (c *Coordinator) submit(spec *sweep.Spec, specJSON []byte) (*coordJob, error) {
-	sj, err := c.store.Create(spec, specJSON, c.shardCountFor(spec))
+// Handler serves the shared /v1 job routes and /healthz plus GET
+// /v1/workers.
+func (c *Coordinator) Handler() http.Handler {
+	mux := c.jobs.mux()
+	mux.HandleFunc("GET /v1/workers", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]any{"workers": c.workerViews()})
+	})
+	return mux
+}
+
+// create durably registers a new job: the spec is on disk before the
+// response commits to an id. The raw bytes are kept verbatim — they go
+// to spec.json and to every worker, so what was submitted is exactly
+// what runs.
+func (c *Coordinator) create(w http.ResponseWriter, r *http.Request) *heldJob {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		return nil, err
+		httpError(w, http.StatusBadRequest, "reading spec: %v", err)
+		return nil
 	}
-	cj, _ := c.buildJob(sj, true)
-	c.mu.Lock()
-	c.jobs[cj.id] = cj
-	c.order = append(c.order, cj.id)
-	c.mu.Unlock()
-	go c.runJob(cj)
-	return cj, nil
+	spec, err := sweep.Load(bytes.NewReader(raw))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return nil
+	}
+	if spec.Coupled() {
+		// Coupled mode computes every rate in one pass per trial, so a
+		// cell-granular shard/skip doesn't exist — there is nothing for
+		// the fabric to split or resume.
+		httpError(w, http.StatusBadRequest, "coupled rate mode cannot shard or resume at cell granularity; run it single-node (faultexp sweep or serve)")
+		return nil
+	}
+	sj, err := c.store.Create(spec, raw, c.shardCountFor(spec))
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "%v", err)
+		return nil
+	}
+	held, _, _ := c.buildJob(sj, true)
+	return held
 }
 
-func (c *Coordinator) get(id string) (*coordJob, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cj, ok := c.jobs[id]
-	return cj, ok
-}
+// forget removes a removed job's directory from the store.
+func (c *Coordinator) forget(id string) error { return c.store.Remove(id) }
 
-func (c *Coordinator) list() []*coordJob {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*coordJob, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.jobs[id])
-	}
-	return out
-}
-
-func (c *Coordinator) removeJob(id string) {
-	c.mu.Lock()
-	delete(c.jobs, id)
-	kept := c.order[:0]
-	for _, o := range c.order {
-		if o != id {
-			kept = append(kept, o)
-		}
-	}
-	c.order = kept
-	c.mu.Unlock()
+func (c *Coordinator) health(h Health) any {
+	return CoordHealth{Health: h, Workers: c.workerViews()}
 }
 
 // signalLocked wakes every goroutine waiting for dispatch capacity.
@@ -639,7 +617,7 @@ func (c *Coordinator) acquire(cj *coordJob) (*workerRef, <-chan struct{}, error)
 		c.mu.Unlock()
 		select {
 		case <-wait:
-		case <-cj.cancelCh:
+		case <-cj.cancelled:
 			return nil, nil, errJobCancelled
 		case <-c.ctx.Done():
 			return nil, nil, c.ctx.Err()
@@ -676,31 +654,18 @@ func isPermanent(err error) bool {
 	return errors.As(err, &se) && se.Permanent()
 }
 
-// runJob drives one job to a terminal state: wait for a dispatch slot,
-// ensure every shard file exists (a complete merge -dir set from the
-// first byte), run all shard tasks concurrently, settle the state.
-func (c *Coordinator) runJob(cj *coordJob) {
-	acquired := false
-	select {
-	case c.sem <- struct{}{}:
-		acquired = true
-	case <-cj.cancelCh:
-	case <-c.ctx.Done():
-	}
-	if acquired {
-		defer func() { <-c.sem }()
-	}
-	if !acquired {
-		if c.ctx.Err() != nil && !cj.cancelRequested() {
+// run drives one admitted job to a terminal state: ensure every shard
+// file exists (a complete merge -dir set from the first byte), run all
+// shard tasks concurrently, settle the state. ctx is the coordinator's.
+func (cj *coordJob) run(ctx context.Context, admitted bool) {
+	c := cj.co
+	if !admitted {
+		if ctx.Err() != nil && !cj.cancelRequested() {
 			// Daemon shutdown: the job stays durable and resumes on the
 			// next start; just end any local streams.
 			cj.finishLogs()
 			return
 		}
-		cj.finish(sweep.JobCancelled, nil)
-		return
-	}
-	if cj.cancelRequested() {
 		cj.finish(sweep.JobCancelled, nil)
 		return
 	}
@@ -734,7 +699,7 @@ func (c *Coordinator) runJob(cj *coordJob) {
 		}(i)
 	}
 	wg.Wait()
-	if c.ctx.Err() != nil && !cj.cancelRequested() {
+	if ctx.Err() != nil && !cj.cancelRequested() {
 		cj.finishLogs()
 		return
 	}
@@ -813,7 +778,7 @@ func (c *Coordinator) runShard(cj *coordJob, i int) error {
 		}
 		select {
 		case <-time.After(c.cfg.RetryDelay):
-		case <-cj.cancelCh:
+		case <-cj.cancelled:
 			return errJobCancelled
 		case <-c.ctx.Done():
 			return c.ctx.Err()
@@ -838,14 +803,14 @@ func (c *Coordinator) runShardAttempt(cj *coordJob, i int, w *workerRef, down <-
 		select {
 		case <-down:
 			cancel()
-		case <-cj.cancelCh:
+		case <-cj.cancelled:
 			cancel()
 		case <-stop:
 		case <-actx.Done():
 		}
 	}()
 
-	id, err := w.client.Submit(actx, cj.specJSON, sh, skip)
+	id, err := w.client.Submit(actx, cj.stored.SpecJSON, sh, skip)
 	if err != nil {
 		c.markDownIfTransport(w, err)
 		return fmt.Errorf("submitting shard %s to %s: %w", sh, w.base, err)
@@ -937,25 +902,6 @@ func (c *Coordinator) markDownIfTransport(w *workerRef, err error) {
 		return
 	}
 	c.markDown(w, err.Error())
-}
-
-func (c *Coordinator) health() CoordHealth {
-	h := CoordHealth{
-		Service:       "faultexp-coordinator",
-		Version:       BuildVersion(),
-		KernelVersion: sweep.KernelVersion,
-		MaxActive:     cap(c.sem),
-		Workers:       c.workerViews(),
-	}
-	for _, cj := range c.list() {
-		h.HeldJobs++
-		cj.mu.Lock()
-		if cj.state == sweep.JobRunning {
-			h.ActiveJobs++
-		}
-		cj.mu.Unlock()
-	}
-	return h
 }
 
 func (c *Coordinator) workerViews() []WorkerView {

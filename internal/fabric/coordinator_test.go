@@ -47,7 +47,7 @@ func startCoordinator(t *testing.T, storeDir string, workers []string, mut func(
 	return co, srv
 }
 
-func submitSpec(t *testing.T, base, specJSON string) CoordJobView {
+func submitSpec(t *testing.T, base, specJSON string) JobView {
 	t.Helper()
 	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(specJSON))
 	if err != nil {
@@ -58,7 +58,7 @@ func submitSpec(t *testing.T, base, specJSON string) CoordJobView {
 		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("POST /v1/jobs = %d: %s", resp.StatusCode, b)
 	}
-	var v CoordJobView
+	var v JobView
 	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
 		t.Fatal(err)
 	}
@@ -82,21 +82,21 @@ func readResults(t *testing.T, base, id string) []byte {
 	return b
 }
 
-func getJob(t *testing.T, base, id string) CoordJobView {
+func getJob(t *testing.T, base, id string) JobView {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/jobs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var v CoordJobView
+	var v JobView
 	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
 		t.Fatal(err)
 	}
 	return v
 }
 
-func waitTerminal(t *testing.T, base, id string) CoordJobView {
+func waitTerminal(t *testing.T, base, id string) JobView {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -217,7 +217,19 @@ func TestCoordinatorReassignsDeadWorker(t *testing.T) {
 	t.Cleanup(flakySrv.Close)
 	good := startWorker(t)
 	storeDir := t.TempDir()
-	_, srv := startCoordinator(t, storeDir, []string{flakySrv.URL, good.URL}, nil)
+	co, srv := startCoordinator(t, storeDir, []string{flakySrv.URL, good.URL}, nil)
+	// Submit only once both workers are probed healthy: dispatch goes to
+	// the least-loaded healthy worker, first in fleet order on ties, so
+	// the flaky worker is then sure to get a shard.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		views := co.workerViews()
+		if views[0].Healthy && views[1].Healthy {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fleet never probed healthy: %+v", views)
+		}
+	}
 
 	v := submitSpec(t, srv.URL, workerSpecJSON)
 	got := readResults(t, srv.URL, v.ID)
@@ -434,7 +446,7 @@ func TestCoordinatorCancelIsDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rv CoordJobView
+	var rv JobView
 	json.NewDecoder(resp.Body).Decode(&rv)
 	resp.Body.Close()
 	if !rv.Removed {

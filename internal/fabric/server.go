@@ -1,9 +1,16 @@
-// Package fabric is the distributed sweep fabric: the HTTP job server
-// behind `faultexp serve` and `faultexp worker`, the client the
-// coordinator uses to drive workers, the durable on-disk job store,
-// and the coordinator itself — splitting a grid spec into `-shard i/m`
-// slices, dispatching them to a worker fleet, and streaming back a
-// merged result stream byte-identical to a single-node run.
+// Package fabric is the distributed sweep fabric: one job manager
+// behind three daemons, the client the coordinator drives workers with,
+// and the durable on-disk job store.
+//
+// The job manager (jobs.go) holds every job in submission order, admits
+// at most MaxActive at once, and serves the same /v1 job routes and
+// /healthz for every daemon. It runs a job in one of two ways. Server —
+// `faultexp serve` and `faultexp worker` — runs it as one local
+// sweep.Job streaming into an in-memory result log. Coordinator — run
+// by `faultexp coordinator` — splits the grid into `-shard i/m` slices,
+// dispatches them to a worker fleet, keeps every streamed line in a
+// durable store, and serves back a merged result stream byte-identical
+// to a single-node run.
 //
 // The whole package leans on one invariant from internal/sweep: a
 // cell's bytes depend only on (grid seed, semantic cell key), never on
@@ -17,7 +24,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"runtime/debug"
 	"strconv"
 	"sync"
 	"time"
@@ -136,63 +142,32 @@ func (l *resultLog) next(ctx context.Context, i int) (line []byte, ok bool) {
 	return nil, false
 }
 
-// servedJob is one submission: the Job, its result log, and a cancel
-// that also unblocks the queue wait if the job never got a slot.
-type servedJob struct {
-	id      string
-	job     *sweep.Job
-	log     *resultLog
-	created time.Time
-
-	cancelOnce sync.Once
-	cancelled  chan struct{}
-
-	// mu guards the admission/cancellation handshake between the pool
-	// runner (beginRun) and DELETE (requestCancel): exactly one of
-	// "admitted to a slot" and "cancelled while queued" wins, so a
-	// queued job's DELETE can safely wait for the (immediate) terminal
-	// state instead of racing a Start it cannot see.
-	mu              sync.Mutex
-	admitted        bool
-	cancelRequested bool
+// localJob is how serve and worker execute a job: one local sweep.Job
+// streaming into a resultLog.
+type localJob struct {
+	job *sweep.Job
+	log *resultLog
 }
 
-func (s *servedJob) cancel() {
-	s.cancelOnce.Do(func() {
-		s.mu.Lock()
-		s.cancelRequested = true
-		s.mu.Unlock()
-		close(s.cancelled)
-		s.job.Cancel()
-	})
-}
-
-// requestCancel cancels the job and reports whether it was still queued
-// (never admitted to a pool slot). When queued=true the run goroutine
-// is guaranteed to take the pre-cancelled path — Start with a cancelled
-// job dispatches nothing — so the caller may block on job.Done() for a
-// prompt, acknowledged terminal state. sync.Once makes the ordering
-// sound for concurrent DELETEs: cancel() returns only after
-// cancelRequested is set, and beginRun checks it under mu.
-func (s *servedJob) requestCancel() (queued bool) {
-	s.cancel()
-	s.mu.Lock()
-	queued = !s.admitted
-	s.mu.Unlock()
-	return queued
-}
-
-// beginRun claims the admission slot for a real run. It fails exactly
-// when a cancel was requested first — the queued-DELETE case — and the
-// caller then starts the job pre-cancelled instead of executing it.
-func (s *servedJob) beginRun() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cancelRequested {
-		return false
+// run starts the job — pre-cancelled when it was never admitted, so
+// Wait/Snapshot/streams all resolve through the ordinary cancelled
+// terminal state without computing anything — and completes its log.
+func (l *localJob) run(ctx context.Context, admitted bool) {
+	if !admitted {
+		l.job.Cancel()
 	}
-	s.admitted = true
-	return true
+	if err := l.job.Start(ctx); err == nil {
+		l.job.Wait()
+	}
+	l.log.finish()
+}
+
+func (l *localJob) stop()                    { l.job.Cancel() }
+func (l *localJob) done() <-chan struct{}    { return l.job.Done() }
+func (l *localJob) snapshot() sweep.Snapshot { return l.job.Snapshot() }
+func (l *localJob) shards() []ShardView      { return nil }
+func (l *localJob) line(ctx context.Context, i int) ([]byte, bool) {
+	return l.log.next(ctx, i)
 }
 
 // Config sizes a Server.
@@ -214,22 +189,14 @@ type Config struct {
 	Flight *cache.Flight
 }
 
-// Server owns every submitted job and the bounded concurrency pool: at
-// most MaxActive jobs execute at once (a semaphore; later submissions
-// sit in JobPending until a slot frees, FIFO by goroutine wakeup), and
-// at most MaxJobs are held in memory at all. It is the engine behind
-// both `faultexp serve` (a standalone daemon) and `faultexp worker`
-// (the same surface, driven by a coordinator via the shard/skip query
-// parameters on POST /v1/jobs).
+// Server is the job manager run as `faultexp serve` (a standalone
+// daemon) and `faultexp worker` (the same surface, driven by a
+// coordinator via the shard/skip query parameters on POST /v1/jobs):
+// each job executes as one local sweep.Job, and the table stays
+// memory-only, bounded by MaxJobs.
 type Server struct {
-	ctx context.Context
-	sem chan struct{}
-	cfg Config
-
-	mu    sync.Mutex
-	jobs  map[string]*servedJob
-	order []string
-	seq   int
+	jobs *jobTable
+	cfg  Config
 }
 
 // NewServer builds a Server whose jobs run under ctx (cancelling it
@@ -241,254 +208,41 @@ func NewServer(ctx context.Context, cfg Config) *Server {
 	if cfg.MaxJobs < 1 {
 		cfg.MaxJobs = 64
 	}
-	return &Server{
-		ctx:  ctx,
-		sem:  make(chan struct{}, cfg.MaxActive),
-		cfg:  cfg,
-		jobs: map[string]*servedJob{},
-	}
+	s := &Server{cfg: cfg}
+	s.jobs = newJobTable(ctx, "faultexp", cfg.MaxActive, cfg.MaxJobs, s)
+	return s
 }
 
-// submit validates nothing itself — the spec arrives pre-validated by
-// sweep.Load — it registers the job and hands it to the pool runner.
-func (m *Server) submit(spec *sweep.Spec, opts ...sweep.JobOption) (*servedJob, error) {
-	log := newResultLog(m.cfg.MaxResultBytes)
-	opts = append([]sweep.JobOption{sweep.WithWriter(log),
-		sweep.WithCache(m.cfg.Cache), sweep.WithFlight(m.cfg.Flight)}, opts...)
-	job, err := sweep.NewJob(spec, opts...)
-	if err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	if len(m.jobs) >= m.cfg.MaxJobs {
-		// Make room by evicting finished jobs, oldest first; only when
-		// every held job is still queued or running is the store truly
-		// full.
-		m.evictTerminalLocked(len(m.jobs) - m.cfg.MaxJobs + 1)
-	}
-	if len(m.jobs) >= m.cfg.MaxJobs {
-		m.mu.Unlock()
-		return nil, errTooManyJobs
-	}
-	m.seq++
-	sj := &servedJob{
-		id:        fmt.Sprintf("job-%d", m.seq),
-		job:       job,
-		log:       log,
-		created:   time.Now(),
-		cancelled: make(chan struct{}),
-	}
-	m.jobs[sj.id] = sj
-	m.order = append(m.order, sj.id)
-	m.mu.Unlock()
-	go m.run(sj)
-	return sj, nil
-}
-
-var errTooManyJobs = fmt.Errorf("job store full")
-
-// evictTerminalLocked drops up to n of the oldest terminal jobs (their
-// result logs with them). Active jobs are never evicted. Caller holds
-// m.mu.
-func (m *Server) evictTerminalLocked(n int) {
-	kept := m.order[:0]
-	for _, id := range m.order {
-		if n > 0 && m.jobs[id].job.Snapshot().State.Terminal() {
-			delete(m.jobs, id)
-			n--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	m.order = kept
-}
-
-// remove drops one job from the store (the DELETE-a-finished-job path).
-func (m *Server) remove(id string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.jobs[id]; !ok {
-		return
-	}
-	delete(m.jobs, id)
-	kept := m.order[:0]
-	for _, o := range m.order {
-		if o != id {
-			kept = append(kept, o)
-		}
-	}
-	m.order = kept
-}
-
-// run waits for a pool slot, executes the job, and completes its result
-// log. A job cancelled while queued (DELETE, or server shutdown) still
-// passes through Start so it reaches the ordinary cancelled terminal
-// state and its streams close.
-func (m *Server) run(sj *servedJob) {
-	acquired := false
-	select {
-	case m.sem <- struct{}{}:
-		acquired = true
-	case <-sj.cancelled:
-	case <-m.ctx.Done():
-	}
-	if acquired {
-		defer func() { <-m.sem }()
-	}
-	if !acquired || !sj.beginRun() {
-		// Never got a slot, or was cancelled between queueing and
-		// admission (beginRun loses to requestCancel exactly once, under
-		// the same lock): start pre-cancelled so Wait/Snapshot/streams
-		// all resolve through the ordinary cancelled terminal state —
-		// immediately, without computing anything.
-		sj.job.Cancel()
-	}
-	if err := sj.job.Start(m.ctx); err != nil {
-		sj.log.finish()
-		return
-	}
-	sj.job.Wait()
-	sj.log.finish()
-}
-
-func (m *Server) get(id string) (*servedJob, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	sj, ok := m.jobs[id]
-	return sj, ok
-}
-
-// list returns the jobs in submission order.
-func (m *Server) list() []*servedJob {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]*servedJob, 0, len(m.order))
-	for _, id := range m.order {
-		out = append(out, m.jobs[id])
-	}
-	return out
-}
+// Handler serves the /v1 job routes plus /healthz.
+func (s *Server) Handler() http.Handler { return s.jobs.mux() }
 
 // CancelAll is the shutdown path: every job drains at a cell boundary.
-func (m *Server) CancelAll() {
-	for _, sj := range m.list() {
-		sj.cancel()
-	}
-}
+func (s *Server) CancelAll() { s.jobs.cancelAll() }
 
-// JobView is the JSON shape of one job in responses.
-type JobView struct {
-	ID       string         `json:"id"`
-	Created  time.Time      `json:"created"`
-	Snapshot sweep.Snapshot `json:"snapshot"`
-	// Removed marks a DELETE response for a job that was already
-	// terminal: the job (and its stored results) left the store.
-	Removed bool `json:"removed,omitempty"`
-}
-
-func (s *servedJob) view() JobView {
-	return JobView{ID: s.id, Created: s.created, Snapshot: s.job.Snapshot()}
-}
-
-// Health is the GET /healthz body, on workers and the coordinator
-// alike: enough for a fleet operator (or the coordinator itself) to
-// spot version and kernel skew before any cell bytes mix. KernelVersion
-// is the sweep measurement-kernel stamp — two daemons disagreeing on it
-// may produce different bytes for the same cell, so the coordinator
-// refuses to dispatch to a kernel-skewed worker.
-type Health struct {
-	Service       string `json:"service"`
-	Version       string `json:"version"`
-	KernelVersion string `json:"kernel_version"`
-	MaxActive     int    `json:"max_active"`
-	ActiveJobs    int    `json:"active_jobs"`
-	HeldJobs      int    `json:"held_jobs"`
-}
-
-// BuildVersion reports the module version the running binary was built
-// as, from the linker-embedded build info ("devel" for a plain local
-// build).
-func BuildVersion() string {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return "unknown"
-	}
-	v := bi.Main.Version
-	if v == "" || v == "(devel)" {
-		v = "devel"
-	}
-	return v
-}
-
-func (m *Server) health() Health {
-	h := Health{
-		Service:       "faultexp",
-		Version:       BuildVersion(),
-		KernelVersion: sweep.KernelVersion,
-		MaxActive:     cap(m.sem),
-	}
-	m.mu.Lock()
-	h.HeldJobs = len(m.jobs)
-	for _, sj := range m.jobs {
-		if sj.job.Snapshot().State == sweep.JobRunning {
-			h.ActiveJobs++
-		}
-	}
-	m.mu.Unlock()
-	return h
-}
-
-// Handler wires the /v1 routes plus /healthz.
-func (m *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", m.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", m.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", m.handleGet)
-	mux.HandleFunc("GET /v1/jobs/{id}/results", m.handleResults)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", m.handleCancel)
-	mux.HandleFunc("GET /healthz", m.handleHealth)
-	return mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func (m *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, m.health())
-}
-
-// handleSubmit accepts a grid spec and queues it. Two query parameters
-// form the worker protocol the coordinator speaks — they restrict the
-// run without touching the spec JSON (which stays the exact schema the
-// CLI -spec flag takes):
+// create accepts a grid spec. Two query parameters form the worker
+// protocol the coordinator speaks — they restrict the run without
+// touching the spec JSON (which stays the exact schema the CLI -spec
+// flag takes):
 //
 //	?shard=i/m  run only round-robin shard i of m (sweep.WithShard)
 //	?skip=K     skip the first K cells of that shard — the resume path,
 //	            where K is the verified length of an earlier attempt's
 //	            streamed prefix (sweep.WithSkipCells)
-func (m *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+func (s *Server) create(w http.ResponseWriter, r *http.Request) *heldJob {
 	// sweep.Load applies the full spec contract: unknown fields, family
 	// registry, measures, models, rates, trials — same as -spec files.
 	spec, err := sweep.Load(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil
 	}
-	var opts []sweep.JobOption
+	log := newResultLog(s.cfg.MaxResultBytes)
+	opts := []sweep.JobOption{sweep.WithWriter(log), sweep.WithCache(s.cfg.Cache), sweep.WithFlight(s.cfg.Flight)}
 	if tok := r.URL.Query().Get("shard"); tok != "" {
 		sh, err := sweep.ParseShard(tok)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
-			return
+			return nil
 		}
 		opts = append(opts, sweep.WithShard(sh))
 	}
@@ -496,120 +250,19 @@ func (m *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		n, err := strconv.Atoi(tok)
 		if err != nil || n < 0 {
 			httpError(w, http.StatusBadRequest, "bad skip=%q, want a cell count ≥ 0", tok)
-			return
+			return nil
 		}
 		opts = append(opts, sweep.WithSkipCells(n))
 	}
-	sj, err := m.submit(spec, opts...)
-	if err == errTooManyJobs {
-		httpError(w, http.StatusServiceUnavailable, "job store full: all %d held jobs are still queued or running; cancel one (DELETE /v1/jobs/{id}) or retry later", m.cfg.MaxJobs)
-		return
-	}
+	job, err := sweep.NewJob(spec, opts...)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil
 	}
-	w.Header().Set("Location", "/v1/jobs/"+sj.id)
-	writeJSON(w, http.StatusCreated, sj.view())
+	return newHeldJob("", time.Now(), &localJob{job: job, log: log})
 }
 
-func (m *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	jobs := m.list()
-	views := make([]JobView, len(jobs))
-	for i, sj := range jobs {
-		views[i] = sj.view()
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": views})
-}
+// forget has nothing to do: a served job lives only in memory.
+func (s *Server) forget(string) error { return nil }
 
-func (m *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	sj, ok := m.get(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, sj.view())
-}
-
-// handleCancel: DELETE on a running job cancels it and returns at once
-// (the job object stays queryable so clients can watch the drain);
-// DELETE on a still-queued job cancels it immediately — no waiting for
-// pool admission — and the response already shows the cancelled
-// terminal state; DELETE on a job already in a terminal state removes
-// it from the store, freeing its result log — the explicit form of the
-// eviction submit performs when the store fills.
-func (m *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	sj, ok := m.get(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
-		return
-	}
-	v := sj.view()
-	if v.Snapshot.State.Terminal() {
-		m.remove(sj.id)
-		v.Removed = true
-		writeJSON(w, http.StatusOK, v)
-		return
-	}
-	if sj.requestCancel() {
-		// The job never reached a pool slot, so it terminates without
-		// computing anything — await that (it is immediate) so the
-		// response acknowledges the cancellation instead of racing it
-		// with a stale "pending" snapshot.
-		<-sj.job.Done()
-	}
-	writeJSON(w, http.StatusOK, sj.view())
-}
-
-// handleResults streams the job's JSONL live: records already produced
-// flush immediately, later ones as the workers emit them, and the
-// response ends when the job reaches a terminal state. ?from=K skips
-// the first K records — the re-attach path for clients that lost a
-// stream (the records are deterministic, so the spliced stream is
-// byte-identical to an unbroken one).
-func (m *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	sj, ok := m.get(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
-		return
-	}
-	from, ok := parseFrom(w, r)
-	if !ok {
-		return
-	}
-	streamLog(w, r, sj.log, from)
-}
-
-// parseFrom reads the ?from=K re-attach parameter, writing the error
-// response itself on a bad value.
-func parseFrom(w http.ResponseWriter, r *http.Request) (int, bool) {
-	tok := r.URL.Query().Get("from")
-	if tok == "" {
-		return 0, true
-	}
-	n, err := strconv.Atoi(tok)
-	if err != nil || n < 0 {
-		httpError(w, http.StatusBadRequest, "bad from=%q, want a cell index ≥ 0", tok)
-		return 0, false
-	}
-	return n, true
-}
-
-// streamLog follows one resultLog from line `from` until it finishes,
-// flushing each line as it lands.
-func streamLog(w http.ResponseWriter, r *http.Request, log *resultLog, from int) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	for i := from; ; i++ {
-		line, ok := log.next(r.Context(), i)
-		if !ok {
-			return
-		}
-		if _, err := w.Write(line); err != nil {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-}
+func (s *Server) health(h Health) any { return h }

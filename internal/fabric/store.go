@@ -27,22 +27,39 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"faultexp/internal/sweep"
 )
 
-// Store is the on-disk root holding every job's directory.
+// Store is the on-disk root holding every job's directory. One Store
+// value owns the root: job ids are numbered in memory, so two Stores
+// must not create jobs under the same directory at once.
 type Store struct {
 	dir string
+
+	mu   sync.Mutex
+	last int // highest job-<n> created, or found by OpenStore
 }
 
-// OpenStore opens (creating if needed) a store rooted at dir.
+// OpenStore opens (creating if needed) a store rooted at dir and finds
+// the highest job number already there, so ids continue the sequence.
 func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, err
 	}
-	return &Store{dir: dir}, nil
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	st := &Store{dir: dir}
+	for _, e := range entries {
+		if n, ok := jobSeq(e.Name()); ok && n > st.last {
+			st.last = n
+		}
+	}
+	return st, nil
 }
 
 // Dir returns the store root.
@@ -106,23 +123,16 @@ func jobSeq(name string) (int, bool) {
 // Create durably registers a new job before any cell runs: spec and
 // meta are written into a temp dir and renamed into place, so the job
 // either exists completely or not at all. IDs continue the store's
-// sequence ("job-<n>"), surviving restarts.
+// sequence ("job-<n>"), surviving restarts; concurrent calls are
+// serialized, each taking the next number.
 func (st *Store) Create(spec *sweep.Spec, specJSON []byte, shards int) (*StoredJob, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("fabric: job needs ≥ 1 shard, got %d", shards)
 	}
-	entries, err := os.ReadDir(st.dir)
-	if err != nil {
-		return nil, err
-	}
-	seq := 0
-	for _, e := range entries {
-		if n, ok := jobSeq(e.Name()); ok && n > seq {
-			seq = n
-		}
-	}
-	seq++
-	id := fmt.Sprintf("job-%d", seq)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.last++
+	id := fmt.Sprintf("job-%d", st.last)
 	tmp, err := os.MkdirTemp(st.dir, ".tmp-"+id+"-")
 	if err != nil {
 		return nil, err

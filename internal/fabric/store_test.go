@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"faultexp/internal/sweep"
@@ -91,6 +92,46 @@ func TestStoreIDsContinueAcrossReopen(t *testing.T) {
 	}
 	if j.ID != "job-2" {
 		t.Fatalf("id after reopen = %q, want job-2", j.ID)
+	}
+}
+
+// TestStoreConcurrentCreate: concurrent submissions each get their own
+// id; none may fail because another Create claimed the same number.
+func TestStoreConcurrentCreate(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := loadSpec(t, storeSpecJSON)
+	const n = 16
+	ids := make([]string, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			j, err := st.Create(spec, []byte(storeSpecJSON), 1)
+			if err == nil {
+				ids[i] = j.ID
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	seen := map[string]bool{}
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Errorf("Create %d: %v", i, errs[i])
+			continue
+		}
+		if seen[ids[i]] {
+			t.Errorf("id %s handed out twice", ids[i])
+		}
+		seen[ids[i]] = true
+	}
+	if jobs, err := st.Jobs(); err != nil || len(jobs) != n {
+		t.Fatalf("Jobs() = %d jobs, %v; want %d", len(jobs), err, n)
 	}
 }
 

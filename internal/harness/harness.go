@@ -164,26 +164,14 @@ func (r *Registry) All() []*Experiment {
 	return out
 }
 
-// ParallelFor runs fn(i) for i in [0, n) on up to workers goroutines.
-// Each invocation gets its own index; fn must not share mutable state
-// without synchronization. Used for Monte-Carlo trial fan-out.
-func ParallelFor(n, workers int, fn func(i int)) {
-	ParallelForWorkers(n, workers, func(_, i int) { fn(i) })
-}
-
-// ParallelForWorkers is ParallelFor with worker identity: fn additionally
-// receives the index of the worker goroutine running it, enabling
-// lock-free per-worker scratch state. Job-to-worker assignment is
-// scheduling-dependent; only per-worker memory reuse may depend on it,
-// never results.
-func ParallelForWorkers(n, workers int, fn func(worker, i int)) {
-	ParallelForWorkersCtx(context.Background(), n, workers, fn)
-}
-
-// ParallelForWorkersCtx is ParallelForWorkers with cooperative
-// cancellation: once ctx is cancelled no further indices are dispatched,
-// but every index a worker already received runs to completion before
-// the pool drains (a job boundary, never a mid-job tear). Dispatch is
+// ParallelForWorkersCtx runs fn(worker, i) for i in [0, n) on up to
+// workers goroutines. Each invocation gets its own index, plus the index
+// of the worker goroutine running it for lock-free per-worker scratch
+// state; job-to-worker assignment is scheduling-dependent, so only
+// memory reuse may depend on it, never results. Once ctx is cancelled
+// no further indices are dispatched, but every index a worker already
+// received runs to completion before the pool drains (a job boundary,
+// never a mid-job tear). Dispatch is
 // strictly sequential, so the executed set is always the contiguous
 // prefix [0, d) for some d ≤ n. Returns ctx.Err() if cancellation
 // prevented any index from being dispatched, nil otherwise.

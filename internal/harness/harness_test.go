@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -80,7 +81,7 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 func TestParallelForCoversAll(t *testing.T) {
 	const n = 1000
 	var hits [n]int32
-	ParallelFor(n, 8, func(i int) {
+	ParallelForWorkersCtx(context.Background(), n, 8, func(_, i int) {
 		atomic.AddInt32(&hits[i], 1)
 	})
 	for i, h := range hits {
@@ -90,9 +91,9 @@ func TestParallelForCoversAll(t *testing.T) {
 	}
 	// Degenerate paths.
 	count := 0
-	ParallelFor(3, 1, func(i int) { count++ })
+	ParallelForWorkersCtx(context.Background(), 3, 1, func(_, i int) { count++ })
 	if count != 3 {
 		t.Fatal("serial path wrong")
 	}
-	ParallelFor(0, 4, func(i int) { t.Fatal("should not run") })
+	ParallelForWorkersCtx(context.Background(), 0, 4, func(_, i int) { t.Fatal("should not run") })
 }

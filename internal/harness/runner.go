@@ -1,84 +1,52 @@
 package harness
 
-// This file holds the parallel-execution primitives the experiment
-// harness and the sweep engine share. ParallelFor (harness.go) is the
-// unordered fan-out used inside single experiments; RunOrdered adds the
-// property the streaming sweep writers need — results are emitted in
-// job-index order, incrementally, no matter how the scheduler interleaves
-// the workers — so output files are byte-identical across worker counts.
+// This file holds the ordered parallel-execution primitive the sweep
+// engine runs on. ParallelForWorkersCtx (harness.go) is the unordered
+// fan-out; RunOrderedDispatchCtx adds the property the streaming sweep
+// writers need — results are emitted in job-index order, incrementally,
+// no matter how the scheduler interleaves the workers — so output files
+// are byte-identical across worker counts.
 //
-// The Ctx variants add cooperative cancellation with a hard invariant:
-// cancellation stops the *dispatch* of new jobs, never the emission of
-// dispatched ones. Every index handed to a worker runs to completion and
-// is emitted, so the emitted set is always the exact contiguous prefix
-// [0, d) of the job sequence — which is what lets a cancelled sweep's
-// output file serve as a valid -resume prefix.
+// Both take a context with a hard invariant: cancellation stops the
+// *dispatch* of new jobs, never the emission of dispatched ones. Every
+// index handed to a worker runs to completion and is emitted, so the
+// emitted set is always an exact contiguous prefix [0, d) of the job
+// sequence — which is what lets a cancelled sweep's output file serve
+// as a valid -resume prefix.
 
 import (
 	"context"
 	"sync"
 )
 
-// RunOrdered executes run(i) for i in [0, n) on up to workers goroutines
-// and calls emit(i, v) for every job in strictly increasing index order,
-// streaming each completed prefix as soon as it is available rather than
-// waiting for the whole batch. emit is never called concurrently. run
-// must be safe for concurrent invocation; emit ordering is independent
-// of scheduling, which is what makes streamed sweep output deterministic
-// for any worker count.
-func RunOrdered[T any](n, workers int, run func(i int) T, emit func(i int, v T)) {
-	RunOrderedWorkers(n, workers, func(_, i int) T { return run(i) }, emit)
-}
-
-// RunOrderedWorkers is RunOrdered with worker identity: run receives the
-// index of the worker goroutine executing it (in [0, effective workers)),
-// so callers can thread per-worker state — scratch workspaces, arenas —
-// without locking. Worker identity must never influence results, only
-// which scratch memory computes them; the ordered emit path makes any
-// violation visible as a byte diff across -workers values.
-func RunOrderedWorkers[T any](n, workers int, run func(worker, i int) T, emit func(i int, v T)) {
-	RunOrderedWorkersCtx(context.Background(), n, workers, run, emit)
-}
-
-// RunOrderedCtx is RunOrdered with cooperative cancellation (see
-// RunOrderedWorkersCtx for the exact drain semantics).
-func RunOrderedCtx[T any](ctx context.Context, n, workers int, run func(i int) T, emit func(i int, v T)) error {
-	return RunOrderedWorkersCtx(ctx, n, workers, func(_, i int) T { return run(i) }, emit)
-}
-
-// RunOrderedWorkersCtx is RunOrderedWorkers with cooperative
-// cancellation. When ctx is cancelled, no further jobs are dispatched,
-// but every job already handed to a worker runs to completion and is
-// emitted — the pool drains at a job boundary rather than tearing mid-
-// job. Because dispatch is strictly sequential, the emitted set after
-// cancellation is always the exact contiguous prefix [0, d) of the job
-// sequence for some d ≤ n, never a prefix with holes. Returns ctx.Err()
-// if cancellation prevented any job from being dispatched, nil if all n
-// jobs ran (even if ctx was cancelled after the last dispatch).
-func RunOrderedWorkersCtx[T any](ctx context.Context, n, workers int, run func(worker, i int) T, emit func(i int, v T)) error {
-	return RunOrderedDispatchCtx(ctx, n, workers, nil, run, emit)
-}
-
-// RunOrderedDispatchCtx is RunOrderedWorkersCtx with an explicit
-// dispatch order: order[k] is the k-th job index handed to the pool, so
-// a scheduler can dispatch expensive jobs first (killing tail latency)
-// while emit still runs in strictly increasing *index* order — the
-// dispatch permutation can therefore never change the emitted bytes,
-// only the wall clock. A nil order means identity dispatch; a non-nil
-// order must be a permutation of [0, n) (length mismatches panic — a
-// wiring bug, not a runtime condition).
+// RunOrderedDispatchCtx executes run(worker, i) for i in [0, n) on up
+// to workers goroutines and calls emit(i, v) for every job in strictly
+// increasing index order, streaming each completed prefix as soon as it
+// is available. emit is never called concurrently; run must be safe for
+// concurrent invocation. worker is the index of the goroutine running
+// the job, so callers can thread per-worker scratch state without
+// locking — it must never influence results, only which scratch memory
+// computes them (any violation shows as a byte diff across -workers).
 //
-// The serial path (workers ≤ 1 or n == 1) ignores the permutation:
-// nothing overlaps, so index-order dispatch is both legal and strictly
-// better under cancellation (every completed job is emitted, none is
-// discarded).
+// order fixes the dispatch sequence: order[k] is the k-th job index
+// handed to the pool, so a scheduler can dispatch expensive jobs first
+// (killing tail latency) while emit still runs in index order — the
+// permutation can never change the emitted bytes, only the wall clock.
+// A nil order means identity dispatch; a non-nil order must be a
+// permutation of [0, n) (length mismatches panic — a wiring bug, not a
+// runtime condition). The serial path (workers ≤ 1 or n == 1) ignores
+// the permutation: nothing overlaps, so index-order dispatch is both
+// legal and strictly better under cancellation.
 //
-// Cancellation drains at a job boundary, as in RunOrderedWorkersCtx,
-// but with a permuted dispatch the completed set is a prefix of the
-// *dispatch* sequence, not of the index sequence: the emitted set is
-// then the longest contiguous index prefix [0, d) inside the completed
-// set, and completed jobs beyond d are discarded. The output invariant
-// — always an exact contiguous, resumable prefix — is unchanged.
+// When ctx is cancelled no further jobs are dispatched, but every job
+// already handed to a worker runs to completion — the pool drains at a
+// job boundary rather than tearing mid-job. With identity dispatch the
+// emitted set is then the exact prefix [0, d); with a permuted dispatch
+// the completed set is a prefix of the *dispatch* sequence, the emitted
+// set is the longest contiguous index prefix [0, d) inside it, and
+// completed jobs beyond d are discarded. Either way the output is an
+// exact contiguous, resumable prefix. Returns ctx.Err() if cancellation
+// prevented any job from being dispatched, nil if all n jobs ran.
 func RunOrderedDispatchCtx[T any](ctx context.Context, n, workers int, order []int, run func(worker, i int) T, emit func(i int, v T)) error {
 	if n <= 0 {
 		return nil

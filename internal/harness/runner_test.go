@@ -12,8 +12,8 @@ func TestRunOrderedEmitsInOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0) + 2} {
 		const n = 50
 		var got []int
-		RunOrdered(n, workers,
-			func(i int) int {
+		RunOrderedDispatchCtx(context.Background(), n, workers, nil,
+			func(_, i int) int {
 				// Scramble completion order: later jobs finish sooner.
 				time.Sleep(time.Duration((n-i)%7) * 100 * time.Microsecond)
 				return i * 3
@@ -45,8 +45,8 @@ func TestRunOrderedStreamsPrefixes(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		RunOrdered(n, 4,
-			func(i int) int {
+		RunOrderedDispatchCtx(context.Background(), n, 4, nil,
+			func(_, i int) int {
 				if i == 0 {
 					<-release
 				}
@@ -67,11 +67,11 @@ func TestRunOrderedStreamsPrefixes(t *testing.T) {
 
 func TestRunOrderedZeroAndOne(t *testing.T) {
 	calls := 0
-	RunOrdered(0, 4, func(i int) int { return i }, func(i, v int) { calls++ })
+	RunOrderedDispatchCtx(context.Background(), 0, 4, nil, func(_, i int) int { return i }, func(i, v int) { calls++ })
 	if calls != 0 {
 		t.Fatalf("n=0 emitted %d", calls)
 	}
-	RunOrdered(1, 4, func(i int) int { return 9 }, func(i, v int) {
+	RunOrderedDispatchCtx(context.Background(), 1, 4, nil, func(_, i int) int { return 9 }, func(i, v int) {
 		if i != 0 || v != 9 {
 			t.Fatalf("n=1 emitted (%d,%d)", i, v)
 		}
@@ -92,8 +92,8 @@ func TestRunOrderedCtxCancelEmitsContiguousPrefix(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var got []int
 		var ran atomic.Int32
-		err := RunOrderedCtx(ctx, n, workers,
-			func(i int) int {
+		err := RunOrderedDispatchCtx(ctx, n, workers, nil,
+			func(_, i int) int {
 				ran.Add(1)
 				if i == 20 {
 					cancel()
@@ -131,10 +131,10 @@ func TestRunOrderedCtxCancelEmitsContiguousPrefix(t *testing.T) {
 func TestRunOrderedCtxUncancelledMatchesRunOrdered(t *testing.T) {
 	const n = 40
 	var got []int
-	if err := RunOrderedCtx(context.Background(), n, 4,
-		func(i int) int { return i * 2 },
+	if err := RunOrderedDispatchCtx(context.Background(), n, 4, nil,
+		func(_, i int) int { return i * 2 },
 		func(i, v int) { got = append(got, v) }); err != nil {
-		t.Fatalf("RunOrderedCtx: %v", err)
+		t.Fatalf("RunOrderedDispatchCtx: %v", err)
 	}
 	if len(got) != n {
 		t.Fatalf("emitted %d of %d", len(got), n)
@@ -151,8 +151,8 @@ func TestRunOrderedCtxPreCancelled(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		calls := 0
-		err := RunOrderedCtx(ctx, 10, workers,
-			func(i int) int { return i },
+		err := RunOrderedDispatchCtx(ctx, 10, workers, nil,
+			func(_, i int) int { return i },
 			func(i, v int) { calls++ })
 		if err == nil {
 			t.Fatalf("workers=%d: pre-cancelled run returned nil", workers)

@@ -2,15 +2,14 @@ package sweep
 
 // The context-aware Job API — the execution surface the CLI, the HTTP
 // daemon (`faultexp serve`), and library callers all drive. A Job wraps
-// one grid run as a first-class object: construct it with NewJob
-// (functional options replace the old positional Options bag), launch it
-// with Start(ctx), observe it mid-flight with the lock-free Snapshot,
-// stop it with Cancel (or by cancelling ctx), and collect the outcome
-// with Wait.
+// one grid run as a first-class object: construct it with NewJob and
+// functional options, launch it with Start(ctx), observe it mid-flight
+// with the lock-free Snapshot, stop it with Cancel (or by cancelling
+// ctx), and collect the outcome with Wait.
 //
 // Cancellation drains, never tears: the pool stops dispatching new cells
 // but every cell already handed to a worker completes and is emitted
-// (harness.RunOrderedWorkersCtx), so the JSONL output after a cancel is
+// (harness.RunOrderedDispatchCtx), so the JSONL output after a cancel is
 // always the exact contiguous prefix of the run's cell sequence — a
 // valid `-resume` input that completes to bytes identical to an
 // uninterrupted run.
@@ -129,7 +128,8 @@ func WithShard(sh Shard) JobOption { return func(c *jobConfig) { c.shard = sh } 
 
 // WithSkipCells skips the first n cells of the (sharded) cell sequence —
 // the resume path: those records already sit in the output (verified by
-// ScanResume), so the job appends only the remainder.
+// ScanResume), so the job appends only the remainder. Skipped cells do
+// not appear in the Summary or progress callbacks.
 func WithSkipCells(n int) JobOption { return func(c *jobConfig) { c.skip = n } }
 
 // WithProgress installs a callback invoked after each cell is emitted
@@ -890,35 +890,4 @@ func (j *Job) run(parent context.Context) {
 	default:
 		j.finish(stDone, nil)
 	}
-}
-
-// Run expands the spec, builds each family graph once, executes every
-// cell on a bounded worker pool, and streams results to w in cell order.
-// Per-cell measurement failures are recorded in the cell's Result (and
-// counted in the summary), not fatal; spec, graph-construction, and
-// writer errors abort the run. Run is the synchronous wrapper over the
-// Job API: use NewJob directly for cancellation, mid-flight snapshots,
-// or resumable interruption.
-func Run(spec *Spec, w Writer, opt Options) (Summary, error) {
-	return RunCtx(context.Background(), spec, w, opt)
-}
-
-// RunCtx is Run bound to a context: cancelling ctx stops the run at a
-// cell boundary and leaves the output a valid resume prefix, returning
-// the cells emitted so far plus a context.Canceled-wrapping error.
-func RunCtx(ctx context.Context, spec *Spec, w Writer, opt Options) (Summary, error) {
-	j, err := NewJob(spec,
-		WithWriter(w),
-		WithWorkers(opt.Workers),
-		WithShard(opt.Shard),
-		WithSkipCells(opt.SkipCells),
-		WithProgress(opt.Progress),
-	)
-	if err != nil {
-		return Summary{}, err
-	}
-	if err := j.Start(ctx); err != nil {
-		return Summary{}, err
-	}
-	return j.Wait()
 }

@@ -40,11 +40,11 @@ func jobRef(t *testing.T) []byte {
 
 func TestJobCleanRunMatchesRun(t *testing.T) {
 	var runBuf bytes.Buffer
-	if _, err := Run(toySpec(), NewJSONL(&runBuf), Options{Workers: 3}); err != nil {
-		t.Fatalf("Run: %v", err)
+	if _, err := runJob(toySpec(), NewJSONL(&runBuf), WithWorkers(3)); err != nil {
+		t.Fatalf("runJob: %v", err)
 	}
 	if got := jobRef(t); !bytes.Equal(got, runBuf.Bytes()) {
-		t.Errorf("Job output differs from Run output:\n--- job ---\n%s--- run ---\n%s", got, runBuf.Bytes())
+		t.Errorf("2-worker job output differs from 3-worker output:\n--- 2 workers ---\n%s--- 3 workers ---\n%s", got, runBuf.Bytes())
 	}
 }
 

@@ -6,11 +6,11 @@
 //
 // Determinism is the design center: a cell's seed depends only on the
 // grid seed and the cell's semantic key (family, size, measure, model,
-// rate), never on its position, the worker count, or scheduling, and the
-// emit path (harness.RunOrdered) streams results in cell order. The same
-// spec therefore produces byte-identical output for any -workers value,
-// and adding a family or rate to a grid never changes any other cell's
-// numbers.
+// rate), never on its position, the worker count, or scheduling, and
+// the emit path (harness.RunOrderedDispatchCtx) streams results in cell
+// order. The same spec therefore produces byte-identical output for any
+// -workers value, and adding a family or rate to a grid never changes
+// any other cell's numbers.
 package sweep
 
 import (

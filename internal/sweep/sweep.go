@@ -4,8 +4,7 @@ package sweep
 // functions are registered by internal/experiments, or by tests), the
 // shared fault-injection helper, and the per-cell execution kernel
 // (runCell). The run loop itself — expand, execute on a bounded pool,
-// stream in cell order — lives on the Job type (job.go); Run is its
-// synchronous wrapper.
+// stream in cell order — lives on the Job type (job.go).
 
 import (
 	"fmt"
@@ -89,15 +88,15 @@ func ApplyFaults(g *graph.Graph, model string, rate float64, rng *xrand.RNG) (*g
 // measured metrics. Field order (and sorted metric keys) make the JSON
 // encoding byte-stable.
 type Result struct {
-	Family  string             `json:"family"`
-	Size    string             `json:"size"`
-	N       int                `json:"n"`
-	M       int                `json:"m"`
-	Measure string             `json:"measure"`
-	Model   string             `json:"model"`
-	Rate    float64            `json:"rate"`
-	Trials  int                `json:"trials"`
-	Seed    uint64             `json:"seed"`
+	Family  string  `json:"family"`
+	Size    string  `json:"size"`
+	N       int     `json:"n"`
+	M       int     `json:"m"`
+	Measure string  `json:"measure"`
+	Model   string  `json:"model"`
+	Rate    float64 `json:"rate"`
+	Trials  int     `json:"trials"`
+	Seed    uint64  `json:"seed"`
 	// Precision is the measurement tier ("sampled:k"); empty (omitted)
 	// for exact cells, so historical output is byte-identical.
 	Precision string `json:"precision,omitempty"`
@@ -131,23 +130,6 @@ func (r *Result) MetricNames() []string {
 type Summary struct {
 	Cells  int // cells executed
 	Errors int // cells whose Result carries an Err
-}
-
-// Options tunes one Run invocation.
-type Options struct {
-	// Workers overrides Spec.Workers (0 = use spec, then GOMAXPROCS).
-	Workers int
-	// Progress, when non-nil, is called after each cell is emitted.
-	Progress func(done, total int)
-	// Shard restricts the run to one round-robin slice of the grid (the
-	// zero value runs everything). Per-shard outputs merge back to the
-	// unsharded bytes with MergeShards.
-	Shard Shard
-	// SkipCells skips the first SkipCells cells of the (sharded) cell
-	// sequence — the resume path: those records already sit in the
-	// output (verified by ScanResume), so the run appends only the
-	// remainder. Skipped cells do not appear in the Summary or Progress.
-	SkipCells int
 }
 
 // runCell executes one cell on the worker's workspace, converting panics

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -71,20 +72,32 @@ func toySpec() *Spec {
 	}
 }
 
+// runJob runs spec to completion on a fresh Job streaming into w.
+func runJob(spec *Spec, w Writer, opts ...JobOption) (Summary, error) {
+	j, err := NewJob(spec, append([]JobOption{WithWriter(w)}, opts...)...)
+	if err != nil {
+		return Summary{}, err
+	}
+	if err := j.Start(context.Background()); err != nil {
+		return Summary{}, err
+	}
+	return j.Wait()
+}
+
 func runToBytes(t *testing.T, spec *Spec, workers int) (jsonl, csv []byte) {
 	t.Helper()
 	var jb, cb bytes.Buffer
 	w := MultiWriter{NewJSONL(&jb), NewCSV(&cb)}
-	sum, err := Run(spec, w, Options{Workers: workers})
+	sum, err := runJob(spec, w, WithWorkers(workers))
 	if err != nil {
-		t.Fatalf("Run(workers=%d): %v", workers, err)
+		t.Fatalf("runJob(workers=%d): %v", workers, err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
 	want := len(spec.Families) * len(spec.Measures) * len(spec.Rates)
 	if sum.Cells != want {
-		t.Fatalf("Run(workers=%d): %d cells, want %d", workers, sum.Cells, want)
+		t.Fatalf("runJob(workers=%d): %d cells, want %d", workers, sum.Cells, want)
 	}
 	return jb.Bytes(), cb.Bytes()
 }
@@ -168,7 +181,7 @@ func TestNonfiniteKeysRecorded(t *testing.T) {
 	spec.Rates = []float64{0, 0.5}
 	var jb, cb bytes.Buffer
 	w := MultiWriter{NewJSONL(&jb), NewCSV(&cb)}
-	if _, err := Run(spec, w, Options{Workers: 1}); err != nil {
+	if _, err := runJob(spec, w, WithWorkers(1)); err != nil {
 		t.Fatal(err)
 	}
 	lines := bytes.Split(bytes.TrimSpace(jb.Bytes()), []byte("\n"))
@@ -198,7 +211,7 @@ func TestNonfiniteKeysRecorded(t *testing.T) {
 	spec2.Families = spec2.Families[:1]
 	spec2.Rates = []float64{0}
 	var jb2 bytes.Buffer
-	sum, err := Run(spec2, NewJSONL(&jb2), Options{Workers: 1})
+	sum, err := runJob(spec2, NewJSONL(&jb2), WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,9 +262,9 @@ func TestCellErrorsAreRecordedNotFatal(t *testing.T) {
 	spec.Families = spec.Families[:1]
 	var jb bytes.Buffer
 	w := NewJSONL(&jb)
-	sum, err := Run(spec, w, Options{Workers: 2})
+	sum, err := runJob(spec, w, WithWorkers(2))
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("runJob: %v", err)
 	}
 	if sum.Cells != 3 || sum.Errors != 2 {
 		t.Fatalf("summary %+v, want 3 cells with 2 errors", sum)
@@ -452,16 +465,16 @@ func (f *failWriter) Write(r *Result) error {
 func (f *failWriter) Flush() error { return nil }
 
 func TestWriterErrorAbortsRun(t *testing.T) {
-	_, err := Run(toySpec(), &failWriter{left: 2}, Options{Workers: 2})
+	_, err := runJob(toySpec(), &failWriter{left: 2}, WithWorkers(2))
 	if err == nil || !strings.Contains(err.Error(), "disk full") {
-		t.Fatalf("Run = %v, want writer error", err)
+		t.Fatalf("runJob = %v, want writer error", err)
 	}
 	// A dead sink must also stop the computation, not just the writes.
 	counted.Store(0)
 	spec := toySpec()
 	spec.Measures = []string{"counting"}
-	if _, err := Run(spec, &failWriter{left: 1}, Options{Workers: 1}); err == nil {
-		t.Fatal("Run with failing writer succeeded")
+	if _, err := runJob(spec, &failWriter{left: 1}, WithWorkers(1)); err == nil {
+		t.Fatal("runJob with failing writer succeeded")
 	}
 	if got, total := counted.Load(), int32(len(spec.Cells())); got >= total {
 		t.Errorf("all %d cells computed after the writer died (want an early stop)", got)
@@ -477,15 +490,12 @@ func TestAbortStopsSummaryAndProgress(t *testing.T) {
 	spec := toySpec() // 12 cells
 	var progress int
 	lastDone := -1
-	sum, err := Run(spec, &failWriter{left: 2}, Options{
-		Workers: 2,
-		Progress: func(done, total int) {
-			progress++
-			lastDone = done
-		},
-	})
+	sum, err := runJob(spec, &failWriter{left: 2}, WithWorkers(2), WithProgress(func(done, total int) {
+		progress++
+		lastDone = done
+	}))
 	if err == nil || !strings.Contains(err.Error(), "disk full") {
-		t.Fatalf("Run = %v, want writer error", err)
+		t.Fatalf("runJob = %v, want writer error", err)
 	}
 	// Writes 0 and 1 succeed, write 2 fails: exactly 3 cells entered the
 	// outcome (the third died at the sink), progress fired for the 2
@@ -506,8 +516,8 @@ func TestAbortStopsSummaryAndProgress(t *testing.T) {
 // the sink fully flushed (cmd/faultexp no longer flushes manually).
 func TestRunFlushesWriter(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := Run(toySpec(), NewJSONL(&buf), Options{Workers: 2}); err != nil {
-		t.Fatalf("Run: %v", err)
+	if _, err := runJob(toySpec(), NewJSONL(&buf), WithWorkers(2)); err != nil {
+		t.Fatalf("runJob: %v", err)
 	}
 	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
 	if len(lines) != len(toySpec().Cells()) {

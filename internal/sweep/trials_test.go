@@ -171,7 +171,7 @@ func TestTrialMeasureEndToEnd(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	w := NewJSONL(&buf)
-	sum, err := Run(spec, w, Options{Workers: 1})
+	sum, err := runJob(spec, w, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}

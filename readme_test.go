@@ -197,12 +197,6 @@ func TestREADMEDocumentsJobAPI(t *testing.T) {
 			t.Errorf("README's Job API docs do not mention %q", want)
 		}
 	}
-	// The deprecations the Job API supersedes are called out.
-	for _, want := range []string{"RunSweep", "deprecated"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("README does not document the %s deprecation", want)
-		}
-	}
 }
 
 // serveEndpoints is the canonical HTTP surface of `faultexp serve`
